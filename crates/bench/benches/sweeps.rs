@@ -5,7 +5,7 @@
 //!
 //! Both paths must produce **bit-identical** outcomes (asserted here, not
 //! just in the unit suites), and the plan path must perform exactly one
-//! thin SVD per known matrix (asserted via the `linalg::svd` call counter).
+//! thin SVD per known matrix (asserted via the `svd.thin_calls` obs counter).
 //! Timings land in the bench JSON trajectory (`NEURODEANON_BENCH_JSON`,
 //! default `bench_results.jsonl`), including the measured speedup, and the
 //! trajectory is re-parsed with `testkit::json` before exit.
@@ -18,7 +18,6 @@ use neurodeanon_bench::scale::Scale;
 use neurodeanon_bench::timing::{self, Bench, Sample};
 use neurodeanon_core::attack::{AttackConfig, AttackOutcome, AttackPlan, DeanonAttack, MatchRule};
 use neurodeanon_datasets::{Session, Task};
-use neurodeanon_linalg::svd::thin_svd_calls;
 use neurodeanon_testkit::json;
 use std::path::{Path, PathBuf};
 
@@ -115,7 +114,7 @@ fn main() {
         .collect();
 
     let mut direct_runs: Vec<AttackOutcome> = Vec::new();
-    let svd0 = thin_svd_calls();
+    let svd0 = neurodeanon_obs::counter("svd.thin_calls").get();
     let s_direct = b.run(&format!("feature_sweep_direct_{scale_name}"), || {
         direct_runs.clear();
         for &t in &t_values {
@@ -132,13 +131,13 @@ fn main() {
         }
     });
     assert_eq!(
-        (thin_svd_calls() - svd0) as usize,
+        (neurodeanon_obs::counter("svd.thin_calls").get() - svd0) as usize,
         t_values.len(),
         "direct sweep factors once per feature count"
     );
 
     let mut plan_runs: Vec<AttackOutcome> = Vec::new();
-    let svd0 = thin_svd_calls();
+    let svd0 = neurodeanon_obs::counter("svd.thin_calls").get();
     let s_plan = b.run(&format!("feature_sweep_plan_{scale_name}"), || {
         plan_runs.clear();
         let mut plan = AttackPlan::prepare(known.clone(), AttackConfig::default())
@@ -151,7 +150,7 @@ fn main() {
         }
     });
     assert_eq!(
-        thin_svd_calls() - svd0,
+        neurodeanon_obs::counter("svd.thin_calls").get() - svd0,
         1,
         "the whole plan sweep must perform exactly one thin SVD"
     );
@@ -187,7 +186,7 @@ fn main() {
         .collect();
 
     let mut direct_grid: Vec<AttackOutcome> = Vec::new();
-    let svd0 = thin_svd_calls();
+    let svd0 = neurodeanon_obs::counter("svd.thin_calls").get();
     let s_direct = b.run(&format!("cross_task_grid_direct_{scale_name}"), || {
         direct_grid.clear();
         let attack = DeanonAttack::new(AttackConfig::default())
@@ -203,13 +202,13 @@ fn main() {
         }
     });
     assert_eq!(
-        (thin_svd_calls() - svd0) as usize,
+        (neurodeanon_obs::counter("svd.thin_calls").get() - svd0) as usize,
         tasks.len() * tasks.len(),
         "direct grid factors once per cell"
     );
 
     let mut plan_grid: Vec<AttackOutcome> = Vec::new();
-    let svd0 = thin_svd_calls();
+    let svd0 = neurodeanon_obs::counter("svd.thin_calls").get();
     let s_plan = b.run(&format!("cross_task_grid_plan_{scale_name}"), || {
         plan_grid.clear();
         for kg in &known_grid {
@@ -224,7 +223,7 @@ fn main() {
         }
     });
     assert_eq!(
-        (thin_svd_calls() - svd0) as usize,
+        (neurodeanon_obs::counter("svd.thin_calls").get() - svd0) as usize,
         tasks.len(),
         "plan grid factors once per row"
     );

@@ -23,9 +23,8 @@ use crate::Result;
 use neurodeanon_connectome::GroupMatrix;
 use neurodeanon_linalg::rsvd::RsvdConfig;
 use neurodeanon_linalg::stats::{
-    cross_correlation, cross_correlation_batched_f32_into, cross_correlation_batched_into,
-    cross_correlation_fused_f32_into, cross_correlation_fused_into, cross_correlation_masked,
-    impute_row_means, zscored_cols_into,
+    cross_correlation, cross_correlation_batched_into, cross_correlation_fused_into,
+    cross_correlation_masked, impute_row_means, zscored_cols_into,
 };
 use neurodeanon_linalg::Matrix;
 use neurodeanon_sampling::{
@@ -93,57 +92,6 @@ impl std::fmt::Display for DegradedInput {
     }
 }
 
-/// Storage precision for a plan's prepared (serve-side) gallery.
-///
-/// The default `F64` path is the historical one: every artifact stays in
-/// double precision and outcomes are bit-identical to [`DeanonAttack::run`].
-/// `F32` stores the z-scored reduced known matrix as `f32` — half the
-/// steady-state memory traffic on the query hot loop — converted **once** at
-/// selection-refresh time; queries and all accumulation stay `f64`, so the
-/// only precision loss is the one-time rounding of the stored gallery
-/// (relative similarity perturbation on the order of `t · 2⁻²⁴`).
-///
-/// Determinism contract (DESIGN.md §1.5): results are bit-identical at any
-/// thread count *per dtype*; `F32`-vs-`F64` argmax agreement is bounded by
-/// the property suite, not exact. Only [`AttackPlan`] honors the dtype —
-/// the one-shot [`DeanonAttack::run`] always computes in f64.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Dtype {
-    /// Double-precision gallery (the historical bit-exact path).
-    #[default]
-    F64,
-    /// Single-precision gallery storage with f64 accumulation.
-    F32,
-}
-
-impl Dtype {
-    /// Parses a CLI flag value (`f64` | `f32`).
-    pub fn parse(s: &str) -> Result<Self> {
-        match s.to_ascii_lowercase().as_str() {
-            "f64" => Ok(Dtype::F64),
-            "f32" => Ok(Dtype::F32),
-            _ => Err(CoreError::InvalidParameter {
-                name: "dtype",
-                reason: "expected one of: f64, f32",
-            }),
-        }
-    }
-
-    /// Stable lowercase name (CLI/JSONL).
-    pub fn name(self) -> &'static str {
-        match self {
-            Dtype::F64 => "f64",
-            Dtype::F32 => "f32",
-        }
-    }
-}
-
-impl std::fmt::Display for Dtype {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
 /// How predicted matches are derived from the similarity matrix.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MatchRule {
@@ -178,9 +126,6 @@ pub struct AttackConfig {
     /// the historical closed-world behavior, bit-for-bit. See DESIGN.md
     /// §1.4 for the decision contract.
     pub reject_margin: Option<f64>,
-    /// Storage precision for the plan's prepared gallery ([`Dtype::F64`] by
-    /// default — the historical bit-exact path).
-    pub dtype: Dtype,
 }
 
 impl AttackConfig {
@@ -222,7 +167,6 @@ impl Default for AttackConfig {
             match_rule: MatchRule::Argmax,
             degraded: DegradedInput::default(),
             reject_margin: None,
-            dtype: Dtype::default(),
         }
     }
 }
@@ -678,7 +622,7 @@ enum Selector {
 /// Every outcome is **bit-for-bit identical** to
 /// [`DeanonAttack::run`] with the same configuration: the bank's selections
 /// match [`principal_features`] exactly, and [`cross_correlation`] is the
-/// composition of the same `zscored_cols_into` / `cross_correlation_zscored_into`
+/// composition of the same `zscored_cols_into` / `cross_correlation_fused_into`
 /// kernels the plan calls (see `tests/properties.rs`).
 #[derive(Debug, Clone)]
 pub struct AttackPlan {
@@ -694,9 +638,6 @@ pub struct AttackPlan {
     indices: Vec<usize>,
     known_red: Matrix,
     known_z: Matrix,
-    /// The f32 gallery: `known_z` rounded to single precision, refreshed
-    /// whenever the selection changes. Empty under [`Dtype::F64`].
-    known_z32: Vec<f32>,
     anon_red: Matrix,
     anon_z: Matrix,
     /// Serve-path scratch: the batch's reduced query rows (`Q × t`),
@@ -751,7 +692,6 @@ impl AttackPlan {
             indices: Vec::new(),
             known_red: Matrix::zeros(0, 0),
             known_z: Matrix::zeros(0, 0),
-            known_z32: Vec::new(),
             anon_red: Matrix::zeros(0, 0),
             anon_z: Matrix::zeros(0, 0),
             batch_red: Matrix::zeros(0, 0),
@@ -841,28 +781,18 @@ impl AttackPlan {
     ) -> Result<AttackOutcome> {
         self.ensure_selection(t)?;
         // Anonymous side: reduce into the reusable scratch, then one fused
-        // z-score + correlate pass (bit-identical to the split kernels, see
-        // `cross_correlation_fused_into`); `anon_z` keeps receiving the
-        // z-scored queries so the scratch-reuse shape is unchanged.
+        // z-score + correlate pass — the same kernels `cross_correlation`
+        // composes, so the similarity bits match the direct attack.
         let corr_span = neurodeanon_obs::span("plan.correlate");
         anon.as_matrix()
             .select_rows_into(&self.indices, &mut self.anon_red)?;
         let mut similarity = Matrix::zeros(0, 0);
-        match self.config.dtype {
-            Dtype::F64 => cross_correlation_fused_into(
-                &self.known_z,
-                &self.anon_red,
-                &mut self.anon_z,
-                &mut similarity,
-            )?,
-            Dtype::F32 => cross_correlation_fused_f32_into(
-                &self.known_z32,
-                self.known_z.rows(),
-                &self.anon_red,
-                &mut self.anon_z,
-                &mut similarity,
-            )?,
-        }
+        cross_correlation_fused_into(
+            &self.known_z,
+            &self.anon_red,
+            &mut self.anon_z,
+            &mut similarity,
+        )?;
         drop(corr_span);
         let _match_span = neurodeanon_obs::span("plan.match");
         outcome_from_similarity(
@@ -934,21 +864,7 @@ impl AttackPlan {
             .map(|r| self.batch_red.row(r))
             .collect();
         let mut similarity = Matrix::zeros(0, 0);
-        match self.config.dtype {
-            Dtype::F64 => cross_correlation_batched_into(
-                &self.known_z,
-                &rows,
-                &mut self.anon_z,
-                &mut similarity,
-            )?,
-            Dtype::F32 => cross_correlation_batched_f32_into(
-                &self.known_z32,
-                self.known_z.rows(),
-                &rows,
-                &mut self.anon_z,
-                &mut similarity,
-            )?,
-        }
+        cross_correlation_batched_into(&self.known_z, &rows, &mut self.anon_z, &mut similarity)?;
         Ok(similarity)
     }
 
@@ -974,25 +890,15 @@ impl AttackPlan {
             .as_matrix()
             .select_rows_into(&self.indices, &mut self.known_red)?;
         zscored_cols_into(&self.known_red, &mut self.known_z);
-        if self.config.dtype == Dtype::F32 {
-            // Convert once per selection refresh; steady-state queries then
-            // stream half the gallery bytes.
-            self.known_z32.clear();
-            self.known_z32
-                .extend(self.known_z.as_slice().iter().map(|&v| v as f32));
-        }
         self.selection = Some(key);
-        gallery_bytes_gauge().set(
-            (std::mem::size_of_val(self.known_z.as_slice())
-                + std::mem::size_of_val(self.known_z32.as_slice())) as f64,
-        );
+        gallery_bytes_gauge().set(std::mem::size_of_val(self.known_z.as_slice()) as f64);
         Ok(())
     }
 }
 
 /// Cached handle of the `plan.gallery_bytes` gauge: resident bytes of the
-/// prepared gallery (f64 z-scored buffer plus the optional f32 copy) as of
-/// the latest selection refresh. Deterministic — a pure function of the
+/// prepared gallery (the z-scored reduced known matrix) as of the latest
+/// selection refresh. Deterministic — a pure function of the
 /// plan shape — so it participates in the observability fingerprint.
 fn gallery_bytes_gauge() -> &'static neurodeanon_obs::Gauge {
     static HANDLE: std::sync::OnceLock<&'static neurodeanon_obs::Gauge> =
@@ -1335,49 +1241,6 @@ mod tests {
         assert_eq!(out.n_rejected(), report.affected);
         for (d, &p) in out.decisions.iter().zip(&out.predicted) {
             assert_eq!(d.is_reject(), p == usize::MAX);
-        }
-    }
-
-    #[test]
-    fn dtype_parsing() {
-        assert_eq!(Dtype::parse("f32").unwrap(), Dtype::F32);
-        assert_eq!(Dtype::parse("F64").unwrap(), Dtype::F64);
-        assert!(Dtype::parse("f16").is_err());
-        assert_eq!(Dtype::default(), Dtype::F64);
-        assert_eq!(Dtype::F32.name(), "f32");
-    }
-
-    #[test]
-    fn f32_gallery_matches_f64_predictions_on_cohort() {
-        // The f32 gallery perturbs similarities by ~t·2⁻²⁴ — orders of
-        // magnitude below the same-subject margins — so predictions,
-        // accuracy, and selected features must agree with the f64 plan.
-        let c = cohort();
-        let known = c.group_matrix(Task::Rest, Session::One).unwrap();
-        let anon = c.group_matrix(Task::Language, Session::Two).unwrap();
-        let mut plan64 = AttackPlan::prepare(known.clone(), AttackConfig::default()).unwrap();
-        let mut plan32 = AttackPlan::prepare(
-            known,
-            AttackConfig {
-                dtype: Dtype::F32,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        for t in [30usize, 100] {
-            let o64 = plan64.run_with(&anon, t, MatchRule::Argmax).unwrap();
-            let o32 = plan32.run_with(&anon, t, MatchRule::Argmax).unwrap();
-            assert_eq!(o64.predicted, o32.predicted);
-            assert_eq!(o64.selected_features, o32.selected_features);
-            assert_eq!(o64.accuracy.to_bits(), o32.accuracy.to_bits());
-            for (x, y) in o64
-                .similarity
-                .as_slice()
-                .iter()
-                .zip(o32.similarity.as_slice())
-            {
-                assert!((x - y).abs() < 1e-5, "{x} vs {y}");
-            }
         }
     }
 

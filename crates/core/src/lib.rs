@@ -56,7 +56,7 @@ pub mod task_id;
 
 pub use attack::{
     match_with_features, AttackConfig, AttackOutcome, AttackPlan, DeanonAttack, DegradedInput,
-    Dtype, MASKED_MIN_OVERLAP,
+    MASKED_MIN_OVERLAP,
 };
 pub use error::CoreError;
 pub use matching::{Decision, MatchScore};

@@ -5,7 +5,7 @@
 //! The obs registries are process-global, so every test here serializes on
 //! one mutex and resets the state around its body.
 
-use neurodeanon_core::attack::{AttackConfig, AttackOutcome, AttackPlan, MatchRule};
+use neurodeanon_core::attack::{AttackConfig, AttackOutcome, AttackPlan, DeanonAttack, MatchRule};
 use neurodeanon_datasets::{HcpCohort, HcpCohortConfig, Session, Task};
 use neurodeanon_linalg::par::with_thread_count;
 use neurodeanon_obs as obs;
@@ -112,4 +112,60 @@ fn span_fingerprint_is_thread_count_invariant() {
         Ok(())
     };
     check().unwrap();
+}
+
+/// §1.6 attribution: the direct attack's correlation step records both of
+/// its z-scorings under their real caller — no `stats.zscore_cols` root
+/// detached from `attack.run` — and the tree is the same at 1 and 8 threads.
+#[test]
+fn direct_attack_zscoring_is_attributed_to_its_caller() {
+    let _lock = GLOBAL.lock().unwrap_or_else(|e| e.into_inner());
+    let trace_at = |threads: usize| {
+        obs::reset();
+        obs::enable();
+        with_thread_count(threads, || {
+            let cohort = HcpCohort::generate(HcpCohortConfig::small(8, 0xa77)).unwrap();
+            let known = cohort.group_matrix(Task::Rest, Session::One).unwrap();
+            let anon = cohort.group_matrix(Task::Rest, Session::Two).unwrap();
+            obs::reset();
+            DeanonAttack::new(AttackConfig::default())
+                .unwrap()
+                .run(&known, &anon)
+                .unwrap();
+        });
+        let snap = obs::snapshot();
+        obs::disable();
+        obs::reset();
+        snap
+    };
+    let (snap1, snap8) = (trace_at(1), trace_at(8));
+    for (threads, snap) in [(1, &snap1), (8, &snap8)] {
+        for path in [
+            "attack.run/attack.correlate/stats.xcorr/stats.zscore_cols",
+            "attack.run/attack.correlate/stats.xcorr/stats.xcorr_fused",
+        ] {
+            assert!(
+                snap.span(path).is_some(),
+                "threads={threads}: missing {path}:\n{}",
+                snap.render_tree()
+            );
+        }
+        assert!(
+            snap.span("stats.zscore_cols").is_none(),
+            "threads={threads}: orphan-root stats.zscore_cols:\n{}",
+            snap.render_tree()
+        );
+        let roots: Vec<&str> = snap
+            .spans
+            .iter()
+            .filter(|s| s.depth == 0)
+            .map(|s| s.path.as_str())
+            .collect();
+        assert_eq!(roots, ["attack.run"], "threads={threads}: orphan roots");
+    }
+    assert_eq!(
+        snap1.fingerprint(),
+        snap8.fingerprint(),
+        "span/counter fingerprint diverged across thread counts"
+    );
 }

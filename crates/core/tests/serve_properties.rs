@@ -5,7 +5,7 @@
 //! 1. **Batched GEMM ≡ one-shot pipeline, bitwise.** The similarity matrix
 //!    of [`AttackPlan::correlate_batch`] matches the one-shot
 //!    [`AttackPlan::run_with`] similarity column-for-column at the bit
-//!    level, for every dtype, thread count, and batch size — including
+//!    level, for every thread count and batch size — including
 //!    ragged packings (a batch split into uneven sub-batches concatenates
 //!    to the same bits).
 //! 2. **Responses are packing- and parallelism-invariant.** A
@@ -28,7 +28,7 @@ use neurodeanon_core::attack::{AttackConfig, AttackPlan, MatchRule};
 use neurodeanon_core::serve::{
     MatchServer, Query, QueryError, QueryResult, ServeConfig, ServeReport, SubmitError,
 };
-use neurodeanon_core::{DegradedInput, Dtype};
+use neurodeanon_core::DegradedInput;
 use neurodeanon_datasets::{
     ChaosSpec, HcpCohort, HcpCohortConfig, ServiceFaultKind, Session, Task,
 };
@@ -40,10 +40,9 @@ fn cohort(n: usize, seed: u64) -> HcpCohort {
     HcpCohort::generate(HcpCohortConfig::small(n, seed)).unwrap()
 }
 
-fn config(dtype: Dtype, degraded: DegradedInput, reject_margin: Option<f64>) -> AttackConfig {
+fn config(degraded: DegradedInput, reject_margin: Option<f64>) -> AttackConfig {
     AttackConfig {
         n_features: 48,
-        dtype,
         degraded,
         reject_margin,
         ..Default::default()
@@ -110,7 +109,7 @@ fn assert_same_result(a: &QueryResult, b: &QueryResult, what: &str) {
 }
 
 /// Property 1: the batched similarity GEMM is bit-identical to the one-shot
-/// pipeline for every dtype × thread count × batch size, and concatenating
+/// pipeline for every thread count × batch size, and concatenating
 /// ragged sub-batches reproduces the full batch exactly.
 #[test]
 fn batched_similarity_matches_one_shot_pipeline_bitwise() {
@@ -118,60 +117,57 @@ fn batched_similarity_matches_one_shot_pipeline_bitwise() {
     let known = cohort.group_matrix(Task::Rest, Session::One).unwrap();
     let anon = cohort.group_matrix(Task::Rest, Session::Two).unwrap();
     let queries = payloads(&anon);
-    for dtype in [Dtype::F64, Dtype::F32] {
-        for threads in [1usize, 8] {
-            with_thread_count(threads, || {
-                let cfg = config(dtype, DegradedInput::Reject, None);
-                for q_count in [1usize, 3, 16] {
-                    // One-shot pipeline on the first q_count anon subjects.
-                    let sub = GroupMatrix::from_matrix(
-                        Matrix::from_fn(known.n_features(), q_count, |r, c| queries[c][r]),
-                        (0..q_count).map(|i| format!("q{i}")).collect(),
-                        known.n_regions(),
-                    )
+    for threads in [1usize, 8] {
+        with_thread_count(threads, || {
+            let cfg = config(DegradedInput::Reject, None);
+            for q_count in [1usize, 3, 16] {
+                // One-shot pipeline on the first q_count anon subjects.
+                let sub = GroupMatrix::from_matrix(
+                    Matrix::from_fn(known.n_features(), q_count, |r, c| queries[c][r]),
+                    (0..q_count).map(|i| format!("q{i}")).collect(),
+                    known.n_regions(),
+                )
+                .unwrap();
+                let mut one_shot = AttackPlan::prepare(known.clone(), cfg.clone()).unwrap();
+                let outcome = one_shot
+                    .run_with(&sub, cfg.n_features, MatchRule::Argmax)
                     .unwrap();
-                    let mut one_shot = AttackPlan::prepare(known.clone(), cfg.clone()).unwrap();
-                    let outcome = one_shot
-                        .run_with(&sub, cfg.n_features, MatchRule::Argmax)
-                        .unwrap();
-                    // Batched path over the same payloads.
-                    let mut plan = AttackPlan::prepare(known.clone(), cfg.clone()).unwrap();
-                    let refs: Vec<&[f64]> =
-                        queries[..q_count].iter().map(|q| q.as_slice()).collect();
-                    let sim = plan.correlate_batch(&refs).unwrap();
-                    assert_eq!(sim.shape(), outcome.similarity.shape());
-                    for i in 0..sim.rows() {
-                        for j in 0..sim.cols() {
-                            assert_eq!(
-                                sim[(i, j)].to_bits(),
-                                outcome.similarity[(i, j)].to_bits(),
-                                "{dtype:?} threads={threads} Q={q_count} at ({i},{j})"
-                            );
-                        }
-                    }
-                }
-                // Ragged packing: 7 queries split 3+3+1 concatenate to the
-                // same bits as one batch of 7.
-                let refs: Vec<&[f64]> = queries[..7].iter().map(|q| q.as_slice()).collect();
+                // Batched path over the same payloads.
                 let mut plan = AttackPlan::prepare(known.clone(), cfg.clone()).unwrap();
-                let full = plan.correlate_batch(&refs).unwrap();
-                let mut col = 0usize;
-                for chunk in refs.chunks(3) {
-                    let part = plan.correlate_batch(chunk).unwrap();
-                    for j in 0..part.cols() {
-                        for i in 0..part.rows() {
-                            assert_eq!(
-                                part[(i, j)].to_bits(),
-                                full[(i, col + j)].to_bits(),
-                                "{dtype:?} threads={threads} ragged col {}",
-                                col + j
-                            );
-                        }
+                let refs: Vec<&[f64]> = queries[..q_count].iter().map(|q| q.as_slice()).collect();
+                let sim = plan.correlate_batch(&refs).unwrap();
+                assert_eq!(sim.shape(), outcome.similarity.shape());
+                for i in 0..sim.rows() {
+                    for j in 0..sim.cols() {
+                        assert_eq!(
+                            sim[(i, j)].to_bits(),
+                            outcome.similarity[(i, j)].to_bits(),
+                            "threads={threads} Q={q_count} at ({i},{j})"
+                        );
                     }
-                    col += part.cols();
                 }
-            });
-        }
+            }
+            // Ragged packing: 7 queries split 3+3+1 concatenate to the
+            // same bits as one batch of 7.
+            let refs: Vec<&[f64]> = queries[..7].iter().map(|q| q.as_slice()).collect();
+            let mut plan = AttackPlan::prepare(known.clone(), cfg.clone()).unwrap();
+            let full = plan.correlate_batch(&refs).unwrap();
+            let mut col = 0usize;
+            for chunk in refs.chunks(3) {
+                let part = plan.correlate_batch(chunk).unwrap();
+                for j in 0..part.cols() {
+                    for i in 0..part.rows() {
+                        assert_eq!(
+                            part[(i, j)].to_bits(),
+                            full[(i, col + j)].to_bits(),
+                            "threads={threads} ragged col {}",
+                            col + j
+                        );
+                    }
+                }
+                col += part.cols();
+            }
+        });
     }
 }
 
@@ -183,7 +179,7 @@ fn server_responses_are_packing_and_parallelism_invariant() {
     let cohort = cohort(12, 0x5e42);
     let known = cohort.group_matrix(Task::Rest, Session::One).unwrap();
     let anon = cohort.group_matrix(Task::Rest, Session::Two).unwrap();
-    let cfg = config(Dtype::F64, DegradedInput::Reject, Some(0.02));
+    let cfg = config(DegradedInput::Reject, Some(0.02));
     let queries: Vec<Query> = payloads(&anon)
         .into_iter()
         .cycle()
@@ -227,7 +223,7 @@ fn chaos_faults_hit_exactly_their_queries() {
     let cohort = cohort(10, 0x5e43);
     let known = cohort.group_matrix(Task::Rest, Session::One).unwrap();
     let anon = cohort.group_matrix(Task::Rest, Session::Two).unwrap();
-    let cfg = config(Dtype::F64, DegradedInput::Reject, Some(0.02));
+    let cfg = config(DegradedInput::Reject, Some(0.02));
     let base: Vec<Query> = payloads(&anon)
         .into_iter()
         .cycle()
@@ -318,7 +314,7 @@ fn degraded_queries_follow_the_policy_paths() {
     let known = cohort.group_matrix(Task::Rest, Session::One).unwrap();
     let anon = cohort.group_matrix(Task::Rest, Session::Two).unwrap();
     for policy in [DegradedInput::Mask, DegradedInput::Impute] {
-        let cfg = config(Dtype::F64, policy, Some(0.02));
+        let cfg = config(policy, Some(0.02));
         let mut values = payloads(&anon).swap_remove(3);
         for v in values.iter_mut().step_by(13) {
             *v = f64::NAN;
@@ -368,7 +364,7 @@ fn backpressure_accepts_everything_within_deadline() {
     let cohort = cohort(8, 0x5e45);
     let known = cohort.group_matrix(Task::Rest, Session::One).unwrap();
     let anon = cohort.group_matrix(Task::Rest, Session::Two).unwrap();
-    let cfg = config(Dtype::F64, DegradedInput::Reject, None);
+    let cfg = config(DegradedInput::Reject, None);
     let queries: Vec<Query> = payloads(&anon)
         .into_iter()
         .cycle()
@@ -403,7 +399,7 @@ fn worker_death_parks_without_losing_queries() {
     let cohort = cohort(8, 0x5e46);
     let known = cohort.group_matrix(Task::Rest, Session::One).unwrap();
     let anon = cohort.group_matrix(Task::Rest, Session::Two).unwrap();
-    let cfg = config(Dtype::F64, DegradedInput::Reject, None);
+    let cfg = config(DegradedInput::Reject, None);
     let payload_set = payloads(&anon);
     let server = MatchServer::start(
         AttackPlan::prepare(known, cfg).unwrap(),

@@ -8,7 +8,7 @@
 use crate::error::LinalgError;
 use crate::matrix::Matrix;
 use crate::par::{self, DisjointMut};
-use crate::vector::{dot, dot_f32_f64};
+use crate::vector::dot;
 use crate::Result;
 
 /// Minimum element count before `zscore_rows` spreads rows over threads;
@@ -329,6 +329,11 @@ pub fn correlation_matrix(m: &Matrix) -> Result<Matrix> {
 /// Output is `a.cols() × b.cols()`; entry `(i, j)` is the correlation of
 /// `a[:, i]` with `b[:, j]`. This is the attack's cross-dataset similarity
 /// matrix (Figure 1/2): columns are subjects, rows are the retained features.
+///
+/// Composed from the same two steps the attack plan runs: z-score the
+/// columns of `a` ([`zscored_cols_into`]), then stream the columns of `b`
+/// through [`cross_correlation_fused_into`] — so a plan that caches the
+/// prepared side reproduces this function bit for bit.
 pub fn cross_correlation(a: &Matrix, b: &Matrix) -> Result<Matrix> {
     let _span = neurodeanon_obs::span("stats.xcorr");
     if a.rows() != b.rows() {
@@ -343,22 +348,11 @@ pub fn cross_correlation(a: &Matrix, b: &Matrix) -> Result<Matrix> {
             op: "cross_correlation",
         });
     }
-    // Z-score columns of both (as rows of the transposes, prepared on two
-    // threads — the operands are independent), then out = Aᵀ B / rows.
-    let (az, bz) = par::par_join(
-        || {
-            let mut az = Matrix::zeros(0, 0);
-            zscored_cols_into(a, &mut az);
-            az
-        },
-        || {
-            let mut bz = Matrix::zeros(0, 0);
-            zscored_cols_into(b, &mut bz);
-            bz
-        },
-    );
+    let mut az = Matrix::zeros(0, 0);
+    zscored_cols_into(a, &mut az);
+    let mut bz = Matrix::zeros(0, 0);
     let mut out = Matrix::zeros(0, 0);
-    cross_correlation_zscored_into(&az, &bz, &mut out)?;
+    cross_correlation_fused_into(&az, b, &mut bz, &mut out)?;
     Ok(out)
 }
 
@@ -374,68 +368,14 @@ pub fn zscored_cols_into(a: &Matrix, out: &mut Matrix) {
     zscore_rows(out);
 }
 
-/// The product half of [`cross_correlation`]: given operands already
-/// prepared by [`zscored_cols_into`] (rows are z-scored subject series of a
-/// common length), writes the subject-by-subject Pearson matrix
-/// (`az.rows() × bz.rows()`) into `out`, reusing `out`'s allocation.
+/// Query-path kernel: transposes the columns of `b` into the rows of `bz`,
+/// z-scores them, and correlates them against the pre-z-scored rows of `az`
+/// (prepared by [`zscored_cols_into`]), writing the `az.rows() × b.cols()`
+/// similarity matrix into `out`. Both scratch matrices keep their
+/// allocations across calls; `bz` is left holding the z-scored queries.
 ///
-/// Calling `zscored_cols_into` on both operands and then this function is
-/// bit-identical to [`cross_correlation`] — same kernels, same order — so
-/// caching the prepared side of a sweep cannot change a single result.
-pub fn cross_correlation_zscored_into(az: &Matrix, bz: &Matrix, out: &mut Matrix) -> Result<()> {
-    let _span = neurodeanon_obs::span("stats.xcorr_zscored");
-    if az.cols() != bz.cols() {
-        return Err(LinalgError::DimensionMismatch {
-            op: "cross_correlation",
-            lhs: az.shape(),
-            rhs: bz.shape(),
-        });
-    }
-    if az.is_empty() || bz.is_empty() {
-        return Err(LinalgError::EmptyMatrix {
-            op: "cross_correlation",
-        });
-    }
-    let t_len = az.cols();
-    let inv = 1.0 / t_len as f64;
-    let bcols = bz.rows();
-    out.reshape_for_overwrite(az.rows(), bcols);
-    // One output row per chunk: row i correlates subject i of `a` against
-    // every subject of `b`, reading shared z-scored operands and writing a
-    // disjoint row — the similarity matrix the matching step consumes.
-    par::par_chunks_mut(
-        out.as_mut_slice(),
-        bcols,
-        t_len,
-        CROSS_PAR_THRESHOLD,
-        |i, orow| {
-            let ai = az.row(i);
-            for (j, o) in orow.iter_mut().enumerate() {
-                *o = (dot(ai, bz.row(j)) * inv).clamp(-1.0, 1.0);
-            }
-        },
-    );
-    Ok(())
-}
-
-/// Fused query-path kernel: transposes + z-scores the columns of `b` and
-/// correlates them against the pre-z-scored rows of `az`, in one pass per
-/// query column.
-///
-/// Semantically `zscored_cols_into(b, bz)` followed by
-/// [`cross_correlation_zscored_into`]`(az, bz, out)` — and **bit-identical**
-/// to that composition: the transpose is an exact copy, each query row is
-/// normalized by the same sequential [`zscore_in_place`] kernel, and every
-/// output element is the same `(dot · 1/t).clamp(±1)` expression in the same
-/// order. The fusion changes *when* the work happens, not what it computes:
-/// a query column is z-scored and immediately consumed for its `az.rows()`
-/// dot products while still cache-hot, instead of being written out in a
-/// z-scoring pass and re-read in a correlation pass. `bz` still receives the
-/// z-scored queries (it is the steady-state scratch the attack plan reuses).
-///
-/// Parallelism is over query columns (each owns one column of `out`, written
-/// through [`DisjointMut`]); the determinism contract holds because each
-/// element's value depends only on its own row/column operands.
+/// Each query column is z-scored and immediately consumed for its
+/// `az.rows()` dot products while still cache-hot, in one pass.
 pub fn cross_correlation_fused_into(
     az: &Matrix,
     b: &Matrix,
@@ -455,99 +395,23 @@ pub fn cross_correlation_fused_into(
             op: "cross_correlation",
         });
     }
-    let n_a = az.rows();
-    let t_len = az.cols();
-    let q = b.cols();
-    let inv = 1.0 / t_len as f64;
     b.transpose_into(bz);
-    out.reshape_for_overwrite(n_a, q);
-    let odata = DisjointMut::new(out.as_mut_slice());
-    par::par_chunks_mut(
-        bz.as_mut_slice(),
-        t_len,
-        n_a.max(2),
-        CROSS_PAR_THRESHOLD,
-        |j, brow| {
-            zscore_in_place(brow);
-            for i in 0..n_a {
-                let v = (dot(az.row(i), brow) * inv).clamp(-1.0, 1.0);
-                // SAFETY: query j exclusively owns output column j.
-                unsafe { *odata.get(i * q + j) = v };
-            }
-        },
-    );
-    Ok(())
-}
-
-/// The f32-gallery variant of [`cross_correlation_fused_into`]: the prepared
-/// known side is stored as an `a_rows × t` row-major `f32` slice (converted
-/// once at plan-preparation time), queries stay `f64`, and every dot product
-/// **accumulates in f64** (each `f32` gallery element is widened exactly, so
-/// the only precision loss is the one-time `f64 → f32` rounding of the
-/// stored gallery).
-///
-/// Determinism: bit-identical at any thread count for the same reasons as
-/// the f64 kernel — per-dtype bit-identity is the contract; f32-vs-f64
-/// *agreement* is bounded statistically by the property suite, not exactly.
-pub fn cross_correlation_fused_f32_into(
-    az: &[f32],
-    a_rows: usize,
-    b: &Matrix,
-    bz: &mut Matrix,
-    out: &mut Matrix,
-) -> Result<()> {
-    let _span = neurodeanon_obs::span("stats.xcorr_fused_f32");
-    let t_len = az.len().checked_div(a_rows).unwrap_or(0);
-    if a_rows == 0 || az.len() != a_rows * t_len || t_len != b.rows() {
-        return Err(LinalgError::DimensionMismatch {
-            op: "cross_correlation",
-            lhs: (a_rows, t_len),
-            rhs: (b.cols(), b.rows()),
-        });
-    }
-    if az.is_empty() || b.is_empty() {
-        return Err(LinalgError::EmptyMatrix {
-            op: "cross_correlation",
-        });
-    }
-    let q = b.cols();
-    let inv = 1.0 / t_len as f64;
-    b.transpose_into(bz);
-    out.reshape_for_overwrite(a_rows, q);
-    let odata = DisjointMut::new(out.as_mut_slice());
-    par::par_chunks_mut(
-        bz.as_mut_slice(),
-        t_len,
-        a_rows.max(2),
-        CROSS_PAR_THRESHOLD,
-        |j, brow| {
-            zscore_in_place(brow);
-            for i in 0..a_rows {
-                let ai = &az[i * t_len..(i + 1) * t_len];
-                let v = (dot_f32_f64(ai, brow) * inv).clamp(-1.0, 1.0);
-                // SAFETY: query j exclusively owns output column j.
-                unsafe { *odata.get(i * q + j) = v };
-            }
-        },
-    );
+    correlate_query_rows(az, bz, out);
     Ok(())
 }
 
 /// Batched serve-path kernel: correlates `queries.len()` already-reduced
 /// query rows (each of length `az.cols()`) against the pre-z-scored gallery
-/// rows of `az` in one fused z-score + GEMM pass — the `t×n_known · t×Q`
-/// product of the attack-as-a-service batch path.
+/// rows of `az` — the `t×n_known · t×Q` product of the attack-as-a-service
+/// batch path.
 ///
 /// This is [`cross_correlation_fused_into`] with the transpose peeled off:
-/// the fused kernel receives queries as *columns* of a `t × Q` matrix and
-/// copies them into rows of `bz`; here the queries already arrive as rows
-/// and are copied into `bz` directly. A transpose is an exact element copy,
-/// so output column `j` is **bit-identical** to the fused kernel run on a
-/// matrix whose `j`-th column is `queries[j]` — and therefore bit-identical
-/// to running query `j` alone through the per-query path: each column is
-/// produced by the same sequential [`zscore_in_place`] + `(dot · 1/t)`
-/// `.clamp(±1)` expressions, and depends on no other column of the batch.
-/// Batch packing, batch order, and thread count cannot change a bit.
+/// the queries already arrive as rows and are copied into `bz` directly. A
+/// transpose is an exact element copy and both entry points share one
+/// kernel, so output column `j` is **bit-identical** to the fused kernel run
+/// on a matrix whose `j`-th column is `queries[j]` — and therefore to
+/// running query `j` alone through the per-query path. Batch packing, batch
+/// order, and thread count cannot change a bit.
 ///
 /// Errors on an empty gallery, an empty batch, or any query whose length
 /// differs from `az.cols()` (mid-stream gallery-shape changes surface here
@@ -580,14 +444,30 @@ pub fn cross_correlation_batched_into(
             });
         }
     }
-    let n_a = az.rows();
-    let q_count = queries.len();
-    let inv = 1.0 / t_len as f64;
-    bz.reshape_for_overwrite(q_count, t_len);
+    bz.reshape_for_overwrite(queries.len(), t_len);
     for (row, q) in queries.iter().enumerate() {
         bz.row_mut(row).copy_from_slice(q);
     }
-    out.reshape_for_overwrite(n_a, q_count);
+    correlate_query_rows(az, bz, out);
+    Ok(())
+}
+
+/// The one dense cross-correlation kernel behind every entry point above:
+/// z-scores each raw query row of `bz` in place and writes
+/// `(dot(az_i, bz_j) / t).clamp(±1)` into `out[(i, j)]` (`out` becomes
+/// `az.rows() × bz.rows()`). Callers check that both operands are non-empty
+/// and share the row length `t`.
+///
+/// Parallelism is over query rows; query `j` exclusively owns output column
+/// `j` (written through [`DisjointMut`]), and each element depends only on
+/// its own two rows, so the result is bit-identical at any thread count.
+fn correlate_query_rows(az: &Matrix, bz: &mut Matrix, out: &mut Matrix) {
+    let n_a = az.rows();
+    let t_len = az.cols();
+    let q = bz.rows();
+    debug_assert_eq!(bz.cols(), t_len);
+    let inv = 1.0 / t_len as f64;
+    out.reshape_for_overwrite(n_a, q);
     let odata = DisjointMut::new(out.as_mut_slice());
     par::par_chunks_mut(
         bz.as_mut_slice(),
@@ -599,73 +479,10 @@ pub fn cross_correlation_batched_into(
             for i in 0..n_a {
                 let v = (dot(az.row(i), brow) * inv).clamp(-1.0, 1.0);
                 // SAFETY: query j exclusively owns output column j.
-                unsafe { *odata.get(i * q_count + j) = v };
+                unsafe { *odata.get(i * q + j) = v };
             }
         },
     );
-    Ok(())
-}
-
-/// The f32-gallery variant of [`cross_correlation_batched_into`]: the
-/// prepared known side is an `a_rows × t` row-major `f32` slice, queries
-/// stay `f64`, dots accumulate in f64 — the same storage/accumulation
-/// contract as [`cross_correlation_fused_f32_into`], to which each output
-/// column is bit-identical for the same query.
-pub fn cross_correlation_batched_f32_into(
-    az: &[f32],
-    a_rows: usize,
-    queries: &[&[f64]],
-    bz: &mut Matrix,
-    out: &mut Matrix,
-) -> Result<()> {
-    let _span = neurodeanon_obs::span("stats.xcorr_batched_f32");
-    let t_len = az.len().checked_div(a_rows).unwrap_or(0);
-    if a_rows == 0 || az.is_empty() || az.len() != a_rows * t_len {
-        return Err(LinalgError::DimensionMismatch {
-            op: "cross_correlation_batched",
-            lhs: (a_rows, t_len),
-            rhs: (0, 0),
-        });
-    }
-    if queries.is_empty() {
-        return Err(LinalgError::InvalidParameter {
-            name: "queries",
-            reason: "batch must contain at least one query",
-        });
-    }
-    for q in queries {
-        if q.len() != t_len {
-            return Err(LinalgError::DimensionMismatch {
-                op: "cross_correlation_batched",
-                lhs: (a_rows, t_len),
-                rhs: (1, q.len()),
-            });
-        }
-    }
-    let q_count = queries.len();
-    let inv = 1.0 / t_len as f64;
-    bz.reshape_for_overwrite(q_count, t_len);
-    for (row, q) in queries.iter().enumerate() {
-        bz.row_mut(row).copy_from_slice(q);
-    }
-    out.reshape_for_overwrite(a_rows, q_count);
-    let odata = DisjointMut::new(out.as_mut_slice());
-    par::par_chunks_mut(
-        bz.as_mut_slice(),
-        t_len,
-        a_rows.max(2),
-        CROSS_PAR_THRESHOLD,
-        |j, brow| {
-            zscore_in_place(brow);
-            for i in 0..a_rows {
-                let ai = &az[i * t_len..(i + 1) * t_len];
-                let v = (dot_f32_f64(ai, brow) * inv).clamp(-1.0, 1.0);
-                // SAFETY: query j exclusively owns output column j.
-                unsafe { *odata.get(i * q_count + j) = v };
-            }
-        },
-    );
-    Ok(())
 }
 
 /// Pairwise-complete Pearson correlation: correlates two equal-length
@@ -981,24 +798,95 @@ mod tests {
         }
     }
 
+    /// Ragged operands for the oracle test: `a` is `t × n` (gallery), `b` is
+    /// `t × q` (queries). Gallery column 0 (when `n > 1`) and query column
+    /// `q - 1` (when `q > 1`) are constant, so zero-variance handling is
+    /// exercised at every shape that leaves a non-constant column to match.
+    fn ragged_operands(t: usize, n: usize, q: usize) -> (Matrix, Matrix) {
+        let mut rng = crate::rng::Rng64::new((t * 1000 + n * 10 + q) as u64);
+        let a = Matrix::from_fn(t, n, |_, c| {
+            if n > 1 && c == 0 {
+                2.5
+            } else {
+                rng.normal(0.3, 1.7)
+            }
+        });
+        let b = Matrix::from_fn(t, q, |_, c| {
+            if q > 1 && c == q - 1 {
+                -1.25
+            } else {
+                rng.normal(-0.2, 0.9)
+            }
+        });
+        (a, b)
+    }
+
+    /// All three dense entry points, on dirty scratch: `cross_correlation`,
+    /// the fused kernel over a prepared gallery, and the batched kernel over
+    /// the columns of `b` as query rows.
+    fn three_entry_points(a: &Matrix, b: &Matrix) -> [Matrix; 3] {
+        let direct = cross_correlation(a, b).unwrap();
+        let mut az = Matrix::filled(3, 3, 9.0);
+        zscored_cols_into(a, &mut az);
+        let mut bz = Matrix::filled(1, 7, -2.0);
+        let mut fused = Matrix::filled(2, 2, 4.0);
+        cross_correlation_fused_into(&az, b, &mut bz, &mut fused).unwrap();
+        let cols: Vec<Vec<f64>> = (0..b.cols()).map(|j| b.col(j)).collect();
+        let queries: Vec<&[f64]> = cols.iter().map(|c| c.as_slice()).collect();
+        let mut batched = Matrix::filled(1, 4, -5.0);
+        cross_correlation_batched_into(&az, &queries, &mut bz, &mut batched).unwrap();
+        [direct, fused, batched]
+    }
+
+    fn assert_bitwise(x: &Matrix, y: &Matrix, what: &str) {
+        assert_eq!(x.shape(), y.shape(), "{what}");
+        for (u, v) in x.as_slice().iter().zip(y.as_slice()) {
+            assert_eq!(u.to_bits(), v.to_bits(), "{what}");
+        }
+    }
+
     #[test]
     fn cross_correlation_matches_pearson_on_columns() {
-        let a = Matrix::from_fn(15, 3, |r, c| ((r + c * 5) % 6) as f64);
-        let b = Matrix::from_fn(15, 2, |r, c| ((r * 2 + c) % 5) as f64);
-        let x = cross_correlation(&a, &b).unwrap();
-        for i in 0..3 {
-            for j in 0..2 {
-                let p = pearson(&a.col(i), &b.col(j)).unwrap();
-                assert!((x[(i, j)] - p).abs() < 1e-9);
+        // Naive per-pair Pearson oracle for the one dense kernel at ragged
+        // shapes, plus one shape above the parallel threshold so the
+        // 8-thread run actually splits the work.
+        let mut shapes = Vec::new();
+        for t in [2usize, 3, 5, 37, 101] {
+            for n in [1usize, 3, 17] {
+                for q in [1usize, 2, 7] {
+                    shapes.push((t, n, q));
+                }
+            }
+        }
+        shapes.push((300, 100, 40));
+        for (t, n, q) in shapes {
+            let (a, b) = ragged_operands(t, n, q);
+            let seq = crate::par::with_thread_count(1, || three_entry_points(&a, &b));
+            let par = crate::par::with_thread_count(8, || three_entry_points(&a, &b));
+            let what = format!("t={t} n={n} q={q}");
+            for k in 0..3 {
+                assert_bitwise(&seq[k], &seq[0], &format!("{what} entry {k} vs direct"));
+                assert_bitwise(&par[k], &seq[0], &format!("{what} entry {k} at 8 threads"));
+            }
+            let x = &seq[0];
+            assert_eq!(x.shape(), (n, q), "{what}");
+            for i in 0..n {
+                for j in 0..q {
+                    let p = pearson(&a.col(i), &b.col(j)).unwrap();
+                    assert!((x[(i, j)] - p).abs() < 1e-12, "{what} ({i},{j})");
+                    if (n > 1 && i == 0) || (q > 1 && j == q - 1) {
+                        assert_eq!(x[(i, j)], 0.0, "{what} constant ({i},{j})");
+                    }
+                }
             }
         }
     }
 
     #[test]
     fn split_cross_correlation_is_bit_identical() {
-        // The workspace path (prepare each side, multiply into scratch) must
-        // reproduce cross_correlation exactly — this is the contract the
-        // attack plan's cached known side rests on.
+        // The workspace path (prepare the gallery side once, then correlate
+        // into reused scratch) must reproduce cross_correlation exactly —
+        // this is the contract the attack plan's cached known side rests on.
         let a = Matrix::from_fn(40, 6, |r, c| ((r * 3 + c * 7) % 13) as f64 - 6.0);
         let b = Matrix::from_fn(40, 5, |r, c| ((r * 5 + c * 11) % 9) as f64 - 4.0);
         let direct = cross_correlation(&a, &b).unwrap();
@@ -1006,39 +894,29 @@ mod tests {
         let mut bz = Matrix::filled(1, 7, -2.0);
         let mut out = Matrix::zeros(2, 2);
         zscored_cols_into(&a, &mut az);
-        zscored_cols_into(&b, &mut bz);
-        cross_correlation_zscored_into(&az, &bz, &mut out).unwrap();
-        assert_eq!(out.shape(), direct.shape());
-        for (x, y) in out.as_slice().iter().zip(direct.as_slice()) {
-            assert_eq!(x.to_bits(), y.to_bits());
+        for _ in 0..2 {
+            cross_correlation_fused_into(&az, &b, &mut bz, &mut out).unwrap();
+            assert_bitwise(&out, &direct, "prepared gallery vs direct");
         }
     }
 
     #[test]
     fn fused_cross_correlation_is_bit_identical_to_split() {
-        // The fused query kernel must reproduce the split path (transpose +
-        // z-score, then correlate) exactly — this is the contract that lets
-        // the attack plan's steady-state path fuse without changing a bit.
+        // The fused query kernel must reproduce cross_correlation exactly,
+        // and leave in its scratch the same z-scored queries the separate
+        // z-scoring step produces.
         let a = Matrix::from_fn(43, 7, |r, c| ((r * 3 + c * 7) % 13) as f64 - 6.0);
         let b = Matrix::from_fn(43, 5, |r, c| ((r * 5 + c * 11) % 9) as f64 - 4.0);
+        let direct = cross_correlation(&a, &b).unwrap();
         let mut az = Matrix::zeros(0, 0);
         zscored_cols_into(&a, &mut az);
         let mut bz_split = Matrix::zeros(0, 0);
-        let mut split = Matrix::zeros(0, 0);
         zscored_cols_into(&b, &mut bz_split);
-        cross_correlation_zscored_into(&az, &bz_split, &mut split).unwrap();
         let mut bz_fused = Matrix::filled(2, 9, 3.0); // dirty scratch
         let mut fused = Matrix::filled(1, 4, -5.0);
         cross_correlation_fused_into(&az, &b, &mut bz_fused, &mut fused).unwrap();
-        assert_eq!(fused.shape(), split.shape());
-        for (x, y) in fused.as_slice().iter().zip(split.as_slice()) {
-            assert_eq!(x.to_bits(), y.to_bits());
-        }
-        // The scratch receives the same z-scored queries as the split path.
-        assert_eq!(bz_fused.shape(), bz_split.shape());
-        for (x, y) in bz_fused.as_slice().iter().zip(bz_split.as_slice()) {
-            assert_eq!(x.to_bits(), y.to_bits());
-        }
+        assert_bitwise(&fused, &direct, "fused vs direct");
+        assert_bitwise(&bz_fused, &bz_split, "fused scratch vs zscored_cols_into");
     }
 
     #[test]
@@ -1050,31 +928,6 @@ mod tests {
         assert!(cross_correlation_fused_into(&az, &b, &mut bz, &mut out).is_err());
         let empty = Matrix::zeros(0, 0);
         assert!(cross_correlation_fused_into(&empty, &b, &mut bz, &mut out).is_err());
-    }
-
-    #[test]
-    fn fused_f32_close_to_f64_and_deterministic() {
-        let a = Matrix::from_fn(60, 6, |r, c| ((r * 3 + c * 7) % 13) as f64 * 0.17 - 1.0);
-        let b = Matrix::from_fn(60, 4, |r, c| ((r * 5 + c * 11) % 9) as f64 * 0.31 - 1.2);
-        let mut az = Matrix::zeros(0, 0);
-        zscored_cols_into(&a, &mut az);
-        let az32: Vec<f32> = az.as_slice().iter().map(|&v| v as f32).collect();
-        let mut bz = Matrix::zeros(0, 0);
-        let mut out64 = Matrix::zeros(0, 0);
-        cross_correlation_fused_into(&az, &b, &mut bz, &mut out64).unwrap();
-        let mut out32 = Matrix::zeros(0, 0);
-        cross_correlation_fused_f32_into(&az32, az.rows(), &b, &mut bz, &mut out32).unwrap();
-        assert_eq!(out32.shape(), out64.shape());
-        for (x, y) in out32.as_slice().iter().zip(out64.as_slice()) {
-            // Correlations are O(1); f32 storage rounding perturbs them by
-            // at most ~len·2⁻²⁴ relative noise.
-            assert!((x - y).abs() < 1e-5, "{x} vs {y}");
-        }
-        // Bad gallery geometry is a typed error, not a panic.
-        assert!(
-            cross_correlation_fused_f32_into(&az32, 7, &b, &mut bz, &mut out32).is_err()
-                || az.rows() == 7
-        );
     }
 
     #[test]
@@ -1095,10 +948,7 @@ mod tests {
         let mut bz_b = Matrix::filled(2, 9, 3.0); // dirty scratch
         let mut batched = Matrix::filled(1, 4, -5.0);
         cross_correlation_batched_into(&az, &queries, &mut bz_b, &mut batched).unwrap();
-        assert_eq!(batched.shape(), fused.shape());
-        for (x, y) in batched.as_slice().iter().zip(fused.as_slice()) {
-            assert_eq!(x.to_bits(), y.to_bits());
-        }
+        assert_bitwise(&batched, &fused, "batched vs fused");
         // Singleton batches reproduce their fused column too.
         for (j, q) in queries.iter().enumerate() {
             let mut solo = Matrix::zeros(0, 0);
@@ -1106,27 +956,6 @@ mod tests {
             for i in 0..az.rows() {
                 assert_eq!(solo[(i, 0)].to_bits(), fused[(i, j)].to_bits());
             }
-        }
-    }
-
-    #[test]
-    fn batched_f32_matches_fused_f32() {
-        let a = Matrix::from_fn(50, 5, |r, c| ((r * 3 + c * 7) % 13) as f64 * 0.17 - 1.0);
-        let b = Matrix::from_fn(50, 4, |r, c| ((r * 5 + c * 11) % 9) as f64 * 0.31 - 1.2);
-        let mut az = Matrix::zeros(0, 0);
-        zscored_cols_into(&a, &mut az);
-        let az32: Vec<f32> = az.as_slice().iter().map(|&v| v as f32).collect();
-        let mut bz = Matrix::zeros(0, 0);
-        let mut fused = Matrix::zeros(0, 0);
-        cross_correlation_fused_f32_into(&az32, az.rows(), &b, &mut bz, &mut fused).unwrap();
-        let cols: Vec<Vec<f64>> = (0..b.cols()).map(|j| b.col(j)).collect();
-        let queries: Vec<&[f64]> = cols.iter().map(|c| c.as_slice()).collect();
-        let mut batched = Matrix::zeros(0, 0);
-        cross_correlation_batched_f32_into(&az32, az.rows(), &queries, &mut bz, &mut batched)
-            .unwrap();
-        assert_eq!(batched.shape(), fused.shape());
-        for (x, y) in batched.as_slice().iter().zip(fused.as_slice()) {
-            assert_eq!(x.to_bits(), y.to_bits());
         }
     }
 
@@ -1154,33 +983,6 @@ mod tests {
         assert!(
             cross_correlation_batched_into(&empty, &[good.as_slice()], &mut bz, &mut out).is_err()
         );
-        let az32: Vec<f32> = az.as_slice().iter().map(|&v| v as f32).collect();
-        assert!(cross_correlation_batched_f32_into(
-            &az32,
-            0,
-            &[good.as_slice()],
-            &mut bz,
-            &mut out
-        )
-        .is_err());
-        assert!(cross_correlation_batched_f32_into(
-            &az32,
-            az.rows(),
-            &[short.as_slice()],
-            &mut bz,
-            &mut out
-        )
-        .is_err());
-    }
-
-    #[test]
-    fn cross_correlation_zscored_rejects_mismatch_and_empty() {
-        let az = Matrix::zeros(3, 10);
-        let bz = Matrix::zeros(4, 9);
-        let mut out = Matrix::zeros(0, 0);
-        assert!(cross_correlation_zscored_into(&az, &bz, &mut out).is_err());
-        let empty = Matrix::zeros(0, 0);
-        assert!(cross_correlation_zscored_into(&empty, &az, &mut out).is_err());
     }
 
     #[test]

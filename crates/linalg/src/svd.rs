@@ -35,17 +35,6 @@ fn thin_calls_counter() -> &'static neurodeanon_obs::Counter {
     HANDLE.get_or_init(|| neurodeanon_obs::counter("svd.thin_calls"))
 }
 
-/// Number of [`thin_svd`] factorizations performed by this process so far —
-/// a thin shim over the `svd.thin_calls` observability counter (kept so the
-/// sweep benches' 1-SVD-per-plan invariant reads unchanged).
-///
-/// Intended for single-threaded benches and binaries; under a parallel test
-/// runner concurrent tests share the counter, so only same-thread deltas
-/// around a known workload are meaningful. `obs::reset()` zeroes it.
-pub fn thin_svd_calls() -> u64 {
-    thin_calls_counter().get()
-}
-
 /// Minimum per-round work (pairs × 8·column length) before one Jacobi round
 /// spawns threads. Rounds run many times per sweep, so the bar is lower than
 /// for one-shot kernels but still high enough that small matrices (the common

@@ -75,7 +75,7 @@ echo "    traced output identical to untraced at both thread counts"
 # records and gates them against crates/bench/benches/kernel_baseline.jsonl —
 # >25% below the best committed baseline is a soft warning while a label has
 # one baseline record and a hard failure once two exist. It also checks the
-# f32-gallery argmax agreement and the subspace-bank ablation tracking.
+# subspace-bank ablation tracking.
 echo "==> bench smoke: kernels @ small -> \${NEURODEANON_BENCH_JSON:-bench_results.jsonl}"
 NEURODEANON_BENCH_SCALE=small \
   cargo bench -p neurodeanon-bench --bench kernels --features criterion-bench --offline
